@@ -132,7 +132,7 @@ pub fn prepare_in_child(workload: &str, seed: u64, dir: &Path) -> Result<(), Str
 /// The `--prepare` entry point (child process).
 pub fn prepare(workload: &str, seed: u64, dir: &Path) -> Result<(), String> {
     match workload {
-        "frame_query" => ingest_family(seed, CATALOG, 5 * FRAME_CATALOG_PER_CATEGORY, dir),
+        "frame_query" => crate::wl_frame::prepare(seed, dir),
         "ingest" => ingest_family(seed, LIBRARY, INGEST_LIBRARY_CLIPS, dir),
         "catalog_churn" => prepare_churn_catalog(seed, dir),
         other => Err(format!("nothing to prepare for {other}")),
@@ -141,7 +141,7 @@ pub fn prepare(workload: &str, seed: u64, dir: &Path) -> Result<(), String> {
 
 /// `n` default clips of family `salt` really ingested into a file
 /// database: the `frame_query` catalog, or the library `ingest` adds to.
-fn ingest_family(seed: u64, salt: u64, n: u64, dir: &Path) -> Result<(), String> {
+pub fn ingest_family(seed: u64, salt: u64, n: u64, dir: &Path) -> Result<(), String> {
     let mut db = CbvrDatabase::open_dir(dir).map_err(|e| e.to_string())?;
     for (name, video) in clip_family(seed, salt, n) {
         ingest_video(&mut db, &name, &video, &IngestConfig::default())

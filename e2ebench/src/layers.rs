@@ -142,6 +142,73 @@ impl Probe {
         }
     }
 
+    /// Write `probes` to `path` (see [`Probe::encode_all`]).
+    pub fn write_all(probes: &[Probe], path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, Probe::encode_all(probes))
+    }
+
+    /// Read back what [`Probe::write_all`] wrote.
+    pub fn read_all(path: &Path) -> Result<Vec<Probe>, String> {
+        let raw = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        Probe::decode_all(&raw).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// One record per probe: format, category, exact flag and `i_id`,
+    /// expected length, body length, body.
+    fn encode_all(probes: &[Probe]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for p in probes {
+            let fmt = Fmt::ALL.iter().position(|f| *f == p.fmt);
+            let category = cbvr_video::Category::ALL
+                .iter()
+                .position(|c| *c == p.category);
+            out.push(fmt.expect("a listed format") as u8);
+            out.push(category.expect("a listed category") as u8);
+            out.push(u8::from(p.exact.is_some()));
+            out.extend_from_slice(&p.exact.unwrap_or(0).to_le_bytes());
+            out.extend_from_slice(&(p.expect_len as u32).to_le_bytes());
+            out.extend_from_slice(&(p.body.len() as u32).to_le_bytes());
+            out.extend_from_slice(&p.body);
+        }
+        out
+    }
+
+    fn decode_all(raw: &[u8]) -> Result<Vec<Probe>, String> {
+        fn take<'a>(raw: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], String> {
+            let bytes = raw.get(*at..*at + n).ok_or("truncated probe file")?;
+            *at += n;
+            Ok(bytes)
+        }
+        let u32_at = |raw: &[u8], at: &mut usize| -> Result<u32, String> {
+            Ok(u32::from_le_bytes(
+                take(raw, at, 4)?.try_into().expect("4 bytes"),
+            ))
+        };
+        let mut at = 0;
+        let mut probes = Vec::new();
+        while at < raw.len() {
+            let head = take(raw, &mut at, 3)?;
+            let (fmt, category, exact) = (head[0], head[1], head[2]);
+            let i_id = u64::from_le_bytes(take(raw, &mut at, 8)?.try_into().expect("8 bytes"));
+            let expect_len = u32_at(raw, &mut at)? as usize;
+            let body_len = u32_at(raw, &mut at)? as usize;
+            let body = take(raw, &mut at, body_len)?.to_vec();
+            probes.push(Probe {
+                fmt: *Fmt::ALL.get(fmt as usize).ok_or("bad probe format")?,
+                body,
+                category: *cbvr_video::Category::ALL
+                    .get(category as usize)
+                    .ok_or("bad probe category")?,
+                exact: (exact != 0).then_some(i_id),
+                expect_len,
+            });
+        }
+        if probes.is_empty() {
+            return Err("no probes".to_string());
+        }
+        Ok(probes)
+    }
+
     /// The answer's matches if it passes every output check.
     pub fn check(&self, reply: &Reply) -> Option<Vec<http::Match>> {
         if reply.status != 200 {
@@ -364,6 +431,9 @@ pub fn ingest_traced<B: cbvr_storage::Backend>(
 
 /// Catalog load, call by call: open (WAL recovery) → scan → parse →
 /// manifest grouping → seal (what `QueryEngine::from_database` does).
+/// A copy of the program's loader, so it is used only for the one load
+/// a traced run times, and [`same_catalog`] checks it against
+/// `from_database`; every other load calls `from_database`.
 pub fn load_traced(
     t: &Tracer,
     dir: &Path,
@@ -429,6 +499,18 @@ pub fn load_traced(
     })();
     t.close(root);
     result
+}
+
+/// Whether two engines hold the same catalog: rows in the same order
+/// with the same ids and features, the same videos, the same segments.
+pub fn same_catalog(a: &QueryEngine, b: &QueryEngine) -> bool {
+    a.len() == b.len()
+        && a.video_ids() == b.video_ids()
+        && a.segment_stats() == b.segment_stats()
+        && (0..a.len()).all(|i| {
+            let (x, y) = (a.entry(i), b.entry(i));
+            x.i_id == y.i_id && x.v_id == y.v_id && x.range == y.range && x.features == y.features
+        })
 }
 
 /// Group `i_id`-ordered entries along the manifest, one group per record
@@ -764,16 +846,38 @@ fn extract_span(kind: &str) -> &'static str {
 
 // ------------------------------------------------------------------ sweep
 
+/// What the sweep checked: operations attempted and checks failed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Checked {
+    pub attempted: u64,
+    pub failed: u64,
+}
+
+impl Checked {
+    fn count(&mut self, ok: bool) {
+        self.attempted += 1;
+        self.failed += u64::from(!ok);
+    }
+}
+
 /// End a traced run: run the sweep, write the spans out, and compute
-/// every per-layer metric. Also returns the sweep's failed checks.
+/// every per-layer metric. `path_loaded` says whether the workload's
+/// path already made the run's one traced catalog load; if it did, the
+/// sweep loads its database with `QueryEngine::from_database`.
 pub fn finish_trace(
     t: &Tracer,
     args: &crate::Args,
     dir: &Path,
     path: &PhaseObs,
     trace_overhead: f64,
-) -> Result<(BTreeMap<&'static str, LayerValue>, u64), String> {
-    let (sweep, failed) = sweep(t, &dir.join("sweep"), &data::sweep_clips(args.seed))?;
+    path_loaded: bool,
+) -> Result<(BTreeMap<&'static str, LayerValue>, Checked), String> {
+    let (sweep, checked) = sweep(
+        t,
+        &dir.join("sweep"),
+        &data::sweep_clips(args.seed),
+        !path_loaded,
+    )?;
     let spans = t.take();
     let file = std::path::PathBuf::from(".bench_out")
         .join(format!("trace-{}-seed{}.jsonl", args.workload, args.seed));
@@ -783,7 +887,7 @@ pub fn finish_trace(
     let summary = Summary::of(&spans);
     Ok((
         layer_metrics(&summary, path, &sweep, trace_overhead),
-        failed,
+        checked,
     ))
 }
 
@@ -793,12 +897,18 @@ const SWEEP_QUERIES: usize = 9;
 /// Fill in the layers a workload's path does not reach: ingest `clips`
 /// into a fresh file database, load it back, serve it over HTTP and
 /// query it in every upload format, run clip queries, and add, remove
-/// and compact. Spans land in the sweep phase. Returns the sweep's
-/// observations and the number of failed checks.
-fn sweep(t: &Tracer, dir: &Path, clips: &[(String, Vec<u8>)]) -> Result<(PhaseObs, u64), String> {
+/// and compact. Spans land in the sweep phase; the catalog load is
+/// traced only if `trace_load`. Returns the sweep's observations and
+/// what it checked: each ingest, query and removal is one operation.
+fn sweep(
+    t: &Tracer,
+    dir: &Path,
+    clips: &[(String, Vec<u8>)],
+    trace_load: bool,
+) -> Result<(PhaseObs, Checked), String> {
     t.set_phase(Phase::Sweep);
     let start = PhaseObs::begin();
-    let mut failed = 0u64;
+    let mut checked = Checked::default();
     let mut tally = KeyframeTally::default();
     let mut input_bytes = 0u64;
     let db_dir = dir.join("sweep_db");
@@ -806,16 +916,19 @@ fn sweep(t: &Tracer, dir: &Path, clips: &[(String, Vec<u8>)]) -> Result<(PhaseOb
         let mut db = CbvrDatabase::open_dir(&db_dir).map_err(|e| e.to_string())?;
         for (name, bytes) in clips {
             input_bytes += bytes.len() as u64;
-            if ingest_traced(t, &mut db, name, bytes, &mut tally)
-                .0
-                .is_err()
-            {
-                failed += 1;
-            }
+            let added = ingest_traced(t, &mut db, name, bytes, &mut tally).0;
+            checked.count(added.is_ok());
         }
         db.telemetry()
     };
-    let (mut db, engine, rows) = load_traced(t, &db_dir)?;
+    let (mut db, engine, rows) = if trace_load {
+        load_traced(t, &db_dir)?
+    } else {
+        let mut db = CbvrDatabase::open_dir(&db_dir).map_err(|e| e.to_string())?;
+        let engine = QueryEngine::from_database(&mut db).map_err(|e| e.to_string())?;
+        let rows = engine.len();
+        (db, engine, rows)
+    };
     if rows == 0 {
         return Err("the sweep ingested no key frames".into());
     }
@@ -840,14 +953,14 @@ fn sweep(t: &Tracer, dir: &Path, clips: &[(String, Vec<u8>)]) -> Result<(PhaseOb
     for probe in &probes {
         let q = http_query_traced(t, server.addr(), &state, &engine, probe);
         let ok = q.reply.as_ref().ok().and_then(|r| probe.check(r)).is_some() && q.consistent;
-        failed += u64::from(!ok);
+        checked.count(ok);
     }
     server.stop();
 
     for (_, bytes) in clips {
         let video = decode_vsc(bytes).map_err(|e| e.to_string())?;
         let ranked = clip_query_traced(t, &engine, &video, &mut tally);
-        failed += u64::from(ranked.len() != K.min(live_videos));
+        checked.count(ranked.len() == K.min(live_videos));
     }
 
     let root = t.root("op.churn");
@@ -864,7 +977,7 @@ fn sweep(t: &Tracer, dir: &Path, clips: &[(String, Vec<u8>)]) -> Result<(PhaseOb
         "sweep_added",
         data::relabel(&template, new_v, 1_000_000),
     );
-    failed += u64::from(remove_traced(t, &root, &engine, new_v) != template.len());
+    checked.count(remove_traced(t, &root, &engine, new_v) == template.len());
     compact_traced(t, &root, &engine);
     t.close(root);
 
@@ -876,5 +989,44 @@ fn sweep(t: &Tracer, dir: &Path, clips: &[(String, Vec<u8>)]) -> Result<(PhaseOb
     obs.input_bytes = input_bytes as f64;
     obs.clips = clips.len() as f64;
     t.set_phase(Phase::Path);
-    Ok((obs, failed))
+    Ok((obs, checked))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn probes_survive_the_probe_file() {
+        let probes = vec![
+            Probe {
+                fmt: Fmt::Vjp,
+                body: vec![1, 2, 3],
+                category: cbvr_video::Category::News,
+                exact: None,
+                expect_len: 10,
+            },
+            Probe {
+                fmt: Fmt::Ppm,
+                body: Vec::new(),
+                category: cbvr_video::Category::ELearning,
+                exact: Some(u64::MAX - 7),
+                expect_len: 3,
+            },
+        ];
+        let raw = Probe::encode_all(&probes);
+        let back = Probe::decode_all(&raw).expect("decodes");
+        assert_eq!(back.len(), probes.len());
+        for (a, b) in probes.iter().zip(&back) {
+            assert_eq!(
+                (a.fmt, &a.body, a.category, a.exact, a.expect_len),
+                (b.fmt, &b.body, b.category, b.exact, b.expect_len)
+            );
+        }
+        assert!(
+            Probe::decode_all(&raw[..raw.len() - 1]).is_err(),
+            "truncated"
+        );
+        assert!(Probe::decode_all(&[]).is_err(), "empty");
+    }
 }

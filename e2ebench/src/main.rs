@@ -94,6 +94,14 @@ impl Outcome {
     fn error_rate(&self) -> f64 {
         self.failed as f64 / self.attempted.max(1) as f64
     }
+
+    /// The printed p90 is a checked output too: it counts one failed
+    /// check when the primary latency lacks the samples the tail rule
+    /// asks for, so a p90 without its support is never printed silently.
+    fn check_tail(&mut self) {
+        self.attempted += 1;
+        self.failed += u64::from(!stats::tail_supported(self.op.n(), 0.90));
+    }
 }
 
 fn usage() -> ! {
@@ -159,7 +167,14 @@ fn run_workload(args: &Args) -> Result<Outcome, String> {
         other => Err(format!("unknown workload {other}")),
     };
     let _ = std::fs::remove_dir_all(&dir);
-    out
+    let mut out = out?;
+    if out.attempted == 0 {
+        return Err(format!("{}: no operation was attempted", args.workload));
+    }
+    if !args.trace {
+        out.check_tail();
+    }
+    Ok(out)
 }
 
 /// The environment every result records.
@@ -297,7 +312,7 @@ fn result_json(o: &Outcome, correct: bool, trace: bool) -> String {
     }
     format!(
         "{{\"correct\":{correct},\"attempted\":{},\"failed\":{},\"metrics\":{{{}}}}}",
-        o.attempted.max(1),
+        o.attempted,
         o.failed,
         metrics.join(",")
     )
@@ -343,7 +358,7 @@ fn run_all(args: &Args) -> Result<(String, String), String> {
     let json = format!(
         "{{\"correct\":{},\"attempted\":{},\"failed\":{failed},\"metrics\":{{{}}}}}",
         failed == 0,
-        attempted.max(1),
+        attempted,
         metrics.join(",")
     );
     Ok((text, json))
@@ -480,5 +495,29 @@ mod tests {
         assert!(line.contains("\"setup_s\":{\"value\":0.5,"));
         let traced = result_json(&o, true, true);
         assert_eq!(traced.matches("\"unit\"").count(), PER_LAYER.len());
+    }
+
+    #[test]
+    fn p90_without_its_samples_is_a_failed_check() {
+        let outcome = |n: usize| Outcome {
+            setup_s: vec![1.0],
+            op: Dist { ms: vec![1.0; n] },
+            throughput: 1.0,
+            peak_rss_mb: 1.0,
+            attempted: n as u64,
+            failed: 0,
+            named: Vec::new(),
+            layers: None,
+            shares: Vec::new(),
+        };
+        let mut short = outcome(stats::P90_SAMPLES - 1);
+        short.check_tail();
+        assert_eq!(
+            (short.attempted, short.failed),
+            (stats::P90_SAMPLES as u64, 1)
+        );
+        let mut enough = outcome(stats::P90_SAMPLES);
+        enough.check_tail();
+        assert_eq!(enough.failed, 0);
     }
 }

@@ -1,6 +1,8 @@
 //! Sample summaries: percentiles, the sample-count rule for tails, and
 //! the process's peak resident memory.
 
+use std::time::{Duration, Instant};
+
 /// The tail percentiles the benchmark may report, highest first.
 const TAILS: [f64; 4] = [0.99, 0.95, 0.90, 0.75];
 
@@ -36,6 +38,40 @@ pub fn tail_supported(n: usize, q: f64) -> bool {
 /// The highest reportable tail for `n` samples, if any.
 pub fn highest_tail(n: usize) -> Option<f64> {
     TAILS.iter().copied().find(|&q| tail_supported(n, q))
+}
+
+/// Samples p90 needs under the tail rule.
+pub const P90_SAMPLES: usize = 100;
+
+/// How far a measuring window may run past its length, as a multiple of
+/// it, to gather [`P90_SAMPLES`].
+const WINDOW_STRETCH: f64 = 2.0;
+
+/// When a measuring loop stops: once its length has passed and the
+/// primary distribution holds `min_samples`, and in any case after
+/// [`WINDOW_STRETCH`] times its length.
+#[derive(Clone, Copy, Debug)]
+pub struct Window {
+    end: Instant,
+    latest_end: Instant,
+    min_samples: usize,
+}
+
+impl Window {
+    pub fn new(secs: f64, min_samples: usize) -> Window {
+        let now = Instant::now();
+        Window {
+            end: now + Duration::from_secs_f64(secs),
+            latest_end: now + Duration::from_secs_f64(secs * WINDOW_STRETCH),
+            min_samples,
+        }
+    }
+
+    /// Whether to start another operation, with `samples` gathered so far.
+    pub fn running(&self, samples: usize) -> bool {
+        let now = Instant::now();
+        now < self.end || (samples < self.min_samples && now < self.latest_end)
+    }
 }
 
 /// One latency distribution, summarised for the report.
@@ -142,6 +178,7 @@ mod tests {
 
     #[test]
     fn p90_needs_one_hundred_samples() {
+        assert_eq!(P90_SAMPLES, 100);
         assert!(!tail_supported(99, 0.90));
         assert!(tail_supported(100, 0.90));
         assert!(tail_supported(1000, 0.99));
@@ -151,6 +188,18 @@ mod tests {
         assert_eq!(highest_tail(120), Some(0.90));
         assert_eq!(highest_tail(40), Some(0.75));
         assert_eq!(highest_tail(39), None);
+    }
+
+    #[test]
+    fn window_waits_for_samples_up_to_its_stretch() {
+        let w = Window::new(3600.0, 0);
+        assert!(w.running(1_000_000), "always inside its length");
+        let w = Window::new(0.2, 10);
+        std::thread::sleep(Duration::from_millis(250));
+        assert!(w.running(9), "short of samples inside the stretch");
+        assert!(!w.running(10), "enough samples once the length passed");
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(!w.running(0), "never past the stretch");
     }
 
     #[test]

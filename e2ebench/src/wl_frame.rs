@@ -9,7 +9,7 @@
 
 use crate::data;
 use crate::layers::{self, Fmt, PhaseObs, Probe};
-use crate::stats::{self, Dist, Interleaved};
+use crate::stats::{self, Dist, Interleaved, Window, P90_SAMPLES};
 use crate::trace::Tracer;
 use crate::{Args, Named, Outcome, SETUP_REPS};
 use cbvr_core::QueryEngine;
@@ -19,7 +19,7 @@ use cbvr_web::{AppState, Server};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Closed-loop clients (the load generator's thread budget: nproc = 2).
 const CLIENTS: usize = 2;
@@ -27,6 +27,9 @@ const CLIENTS: usize = 2;
 const EXACT_EVERY: usize = 8;
 
 /// Probes for the run: held-out key frames, plus exact stored frames.
+/// Worked out in the preparation child from its own view of the
+/// catalog, so no second copy of the catalog ever lives in the process
+/// whose `peak_rss_mb` is reported.
 fn probes(
     seed: u64,
     engine: &QueryEngine,
@@ -60,6 +63,26 @@ fn probes(
     Ok(out)
 }
 
+/// Where the preparation child leaves the probes: beside the database.
+fn probes_file(db_dir: &Path) -> std::path::PathBuf {
+    db_dir.with_file_name("probes.bin")
+}
+
+/// The `--prepare` step (child process): ingest the catalog, then work
+/// out the probes and their expected answers.
+pub fn prepare(seed: u64, db_dir: &Path) -> Result<(), String> {
+    data::ingest_family(
+        seed,
+        data::CATALOG,
+        5 * data::FRAME_CATALOG_PER_CATEGORY,
+        db_dir,
+    )?;
+    let mut db = CbvrDatabase::open_dir(db_dir).map_err(|e| e.to_string())?;
+    let engine = QueryEngine::from_database(&mut db).map_err(|e| e.to_string())?;
+    let probes = probes(seed, &engine, &mut db)?;
+    Probe::write_all(&probes, &probes_file(db_dir)).map_err(|e| e.to_string())
+}
+
 /// Counts and latencies the clients gathered.
 #[derive(Default)]
 struct Load {
@@ -73,12 +96,12 @@ struct Load {
     precision: Vec<Option<f64>>,
 }
 
-/// Run the closed-loop clients for `secs`. Traced: every request is
-/// followed by its socket-free and call-by-call twins.
+/// Run the closed-loop clients for the `window`. Traced: every other
+/// request is followed by its socket-free and call-by-call twins.
 fn drive(
     addr: std::net::SocketAddr,
     probes: &[Probe],
-    secs: f64,
+    window: Window,
     traced: Option<(&Tracer, &AppState<FileBackend>, &QueryEngine)>,
 ) -> (Load, f64) {
     let load = Mutex::new(Load {
@@ -87,11 +110,10 @@ fn drive(
     });
     let next = AtomicU64::new(0);
     let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(secs);
     std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             s.spawn(|| loop {
-                if Instant::now() >= deadline {
+                if !window.running(load.lock().expect("client tally poisoned").rtt.n()) {
                     break;
                 }
                 let n = next.fetch_add(1, Ordering::Relaxed) as usize;
@@ -151,11 +173,7 @@ fn set_up(db_dir: &Path) -> Result<(Arc<AppState<FileBackend>>, Server, f64), St
 pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
     let db_dir = dir.join("db");
     data::prepare_in_child("frame_query", args.seed, &db_dir)?;
-    // The harness's own view of the catalog: probe expectations, and
-    // the engine the traced run scores through. Not part of set-up.
-    let (mut db, engine, rows) = layers::load_traced(&Tracer::new(false), &db_dir)?;
-    let probes = probes(args.seed, &engine, &mut db)?;
-    drop(db);
+    let probes = Probe::read_all(&probes_file(&db_dir))?;
 
     let mut setup_s = Vec::new();
     let mut live = None;
@@ -174,12 +192,12 @@ pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
         let _ = crate::http::post(addr, &Probe::path(), &p.body);
     }
 
-    let untraced_secs = if args.trace {
-        args.seconds / 2.0
+    let untraced = if args.trace {
+        Window::new(args.seconds / 2.0, 0)
     } else {
-        args.seconds
+        Window::new(args.seconds, P90_SAMPLES)
     };
-    let (load, wall) = drive(addr, &probes, untraced_secs, None);
+    let (load, wall) = drive(addr, &probes, untraced, None);
     let peak_rss_mb = stats::peak_rss_mb();
     let mut attempted = load.attempted;
     let mut failed = load.failed;
@@ -188,15 +206,18 @@ pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
     let mut shares = Vec::new();
     if args.trace {
         let t = Tracer::new(true);
-        // One traced catalog load gives the storage and seal spans.
-        let (loaded_db, _, _) = layers::load_traced(&t, &db_dir)?;
+        // The run's one traced catalog load gives the storage and seal
+        // spans, and the engine the replay scores through. The replay
+        // checks its ranking against the server's, whose engine
+        // `from_database` loaded.
+        let (loaded_db, engine, rows) = layers::load_traced(&t, &db_dir)?;
         let storage = loaded_db.telemetry();
         drop(loaded_db);
         let start = PhaseObs::begin();
         let (traced, _) = drive(
             addr,
             &probes,
-            args.seconds / 2.0,
+            Window::new(args.seconds / 2.0, 0),
             Some((&t, &state, &engine)),
         );
         let mut path = PhaseObs::end(start);
@@ -204,9 +225,9 @@ pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
         path.live_videos = engine.video_ids().len() as f64;
         path.storage = storage;
         let overhead = traced.split.overhead();
-        let (l, sweep_failed) = layers::finish_trace(&t, args, dir, &path, overhead)?;
-        attempted += traced.attempted + 1;
-        failed += traced.failed + sweep_failed;
+        let (l, sweep) = layers::finish_trace(&t, args, dir, &path, overhead, true)?;
+        attempted += traced.attempted + sweep.attempted;
+        failed += traced.failed + sweep.failed;
         let handle = l.get("web.handle_ms").map_or(0.0, |v| v.value);
         for name in [
             "features.extract_ms",

@@ -13,14 +13,14 @@
 
 use crate::data;
 use crate::layers::{self, KeyframeTally, PhaseObs};
-use crate::stats::{self, Dist, Interleaved};
+use crate::stats::{self, Dist, Interleaved, Window, P90_SAMPLES};
 use crate::trace::Tracer;
 use crate::{Args, Named, Outcome, SETUP_REPS};
 use cbvr_core::{ingest_video, IngestConfig};
 use cbvr_storage::{CbvrDatabase, FileBackend};
 use cbvr_video::decode_vsc;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// An acknowledged add: what the reopened database must hold.
 struct Acked {
@@ -51,19 +51,18 @@ pub fn stream_clip(seed: u64, n: u64) -> (String, Vec<u8>) {
     (format!("{}_{n}", c.name()), data::vsc(&video))
 }
 
-/// Add clips until `secs` have passed. Traced: each add is followed by
+/// Add clips for the `window`. Traced: every other add is followed by
 /// its stages called one by one.
 fn drive(
     db: &mut CbvrDatabase<FileBackend>,
     seed: u64,
-    secs: f64,
+    window: Window,
     tracer: Option<&Tracer>,
 ) -> Load {
     let mut load = Load::default();
     let config = IngestConfig::default();
-    let deadline = Instant::now() + Duration::from_secs_f64(secs);
     let mut n = 0u64;
-    while Instant::now() < deadline {
+    while window.running(load.latency.n()) {
         let (name, bytes) = stream_clip(seed, n);
         let tracer = tracer.filter(|_| n.is_multiple_of(2));
         n += 1;
@@ -133,12 +132,12 @@ pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
     }
     let mut db = db.expect("at least one set-up");
 
-    let untraced_secs = if args.trace {
-        args.seconds / 2.0
+    let untraced = if args.trace {
+        Window::new(args.seconds / 2.0, 0)
     } else {
-        args.seconds
+        Window::new(args.seconds, P90_SAMPLES)
     };
-    let load = drive(&mut db, args.seed, untraced_secs, None);
+    let load = drive(&mut db, args.seed, untraced, None);
     drop(db);
     let db_bytes = data::dir_bytes(&db_dir).saturating_sub(library_bytes);
     let lost = verify(&db_dir, &load.acked)?;
@@ -156,7 +155,12 @@ pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
         t.close(root);
         let mut traced_db = reopened.map_err(|e| e.to_string())?;
         let start = PhaseObs::begin();
-        let traced = drive(&mut traced_db, args.seed, args.seconds / 2.0, Some(&t));
+        let traced = drive(
+            &mut traced_db,
+            args.seed,
+            Window::new(args.seconds / 2.0, 0),
+            Some(&t),
+        );
         let mut path = PhaseObs::end(start);
         path.keyframes = traced.tally;
         path.storage = traced_db.telemetry();
@@ -164,9 +168,10 @@ pub fn run(args: &Args, dir: &Path) -> Result<Outcome, String> {
         path.clips = traced.acked.len() as f64;
         drop(traced_db);
         let overhead = traced.split.overhead();
-        let (l, sweep_failed) = layers::finish_trace(&t, args, dir, &path, overhead)?;
-        attempted += traced.attempted + 1;
-        failed += traced.failed + verify(&db_dir, &traced.acked)? + sweep_failed;
+        // No catalog load on this path: the sweep's is the traced one.
+        let (l, sweep) = layers::finish_trace(&t, args, dir, &path, overhead, false)?;
+        attempted += traced.attempted + sweep.attempted;
+        failed += traced.failed + verify(&db_dir, &traced.acked)? + sweep.failed;
         let op = load.latency.p50();
         let kf_per_clip = load.keyframes as f64 / load.acked.len().max(1) as f64;
         for (name, per_clip) in [
