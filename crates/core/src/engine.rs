@@ -15,7 +15,7 @@
 use crate::arena::{CascadePlan, CascadeTally, QueryVectors, KINDS};
 use crate::dtw::dtw_distance_abandon;
 use crate::error::Result;
-use crate::ingest::extract_feature_sets_parallel;
+use crate::ingest::ExtractTimers;
 use crate::pool::{ExecPool, TopK, THREADS_AUTO};
 use crate::score::ScoreCalibration;
 use crate::segment::{CatalogSnapshot, EntryRef, Segment, SnapshotCell};
@@ -170,7 +170,11 @@ struct EngineMetrics {
     frame_scan: Arc<Histogram>,
     frame_score: Arc<Histogram>,
     frame_merge: Arc<Histogram>,
+    /// `query.frame.extract.<kind>_nanos` — query-frame extraction.
+    frame_extract: ExtractTimers,
     clip_requests: Arc<Counter>,
+    /// `query.clip.extract.<kind>_nanos` — query-clip key-frame extraction.
+    clip_extract: ExtractTimers,
     clip_dtw: Arc<Histogram>,
     clip_rank: Arc<Histogram>,
     /// `query.arena.bytes` — bytes of columnar arena storage built
@@ -213,7 +217,9 @@ impl EngineMetrics {
             frame_scan: registry.histogram("query.frame.scan_nanos"),
             frame_score: registry.histogram("query.frame.score_nanos"),
             frame_merge: registry.histogram("query.frame.merge_nanos"),
+            frame_extract: ExtractTimers::new(registry.clone(), "query.frame.extract"),
             clip_requests: registry.counter("query.clip.requests"),
+            clip_extract: ExtractTimers::new(registry.clone(), "query.clip.extract"),
             clip_dtw: registry.histogram("query.clip.dtw_nanos"),
             clip_rank: registry.histogram("query.clip.rank_nanos"),
             arena_bytes: registry.counter("query.arena.bytes"),
@@ -545,7 +551,7 @@ impl QueryEngine {
             prepared = options.preprocess.apply(frame);
             &prepared
         };
-        let features = FeatureSet::extract(frame);
+        let features = self.metrics.frame_extract.extract(frame);
         let range = paper_range(&Histogram256::of_rgb_luma(frame));
         self.query_features(&features, range, options)
     }
@@ -644,7 +650,7 @@ impl QueryEngine {
     ) -> Vec<VideoMatch> {
         let keyframes = extract_keyframes(query, keyframe_config);
         let frames: Vec<&RgbImage> = keyframes.iter().map(|k| &k.frame).collect();
-        let query_features = extract_feature_sets_parallel(&frames, options.threads);
+        let query_features = self.metrics.clip_extract.extract_all(&frames, options.threads);
         self.query_feature_sequence(&query_features, options)
     }
 

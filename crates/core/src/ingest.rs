@@ -12,7 +12,7 @@
 //!   range, and all seven feature strings.
 
 use crate::error::{CoreError, Result};
-use crate::telemetry::Registry;
+use crate::telemetry::{Histogram, Registry};
 use cbvr_features::gabor::GaborTexture;
 use cbvr_features::glcm::GlcmTexture;
 use cbvr_features::histogram::ColorHistogram;
@@ -28,6 +28,7 @@ use cbvr_keyframe::{extract_keyframes, Keyframe, KeyframeConfig};
 use cbvr_storage::backend::Backend;
 use cbvr_storage::{CbvrDatabase, KeyFrameRecord, ManifestSegment, VideoRecord};
 use cbvr_video::{encode_vsc, FrameCodec, Video};
+use std::sync::Arc;
 
 /// Ingestion parameters.
 #[derive(Clone, Debug)]
@@ -73,56 +74,84 @@ pub struct IngestReport {
     pub ranges: Vec<RangeKey>,
 }
 
+/// Per-kind feature-extraction timers: one `<prefix>.<kind>_nanos`
+/// histogram per extractor, named by the Table 1 short names (`sch`,
+/// `glcm`, `gabor`, `tamura`, `acc`, `naive`, `srg`). Ingest times under
+/// `ingest.extract`, frame queries under `query.frame.extract` and clip
+/// queries under `query.clip.extract`.
+pub struct ExtractTimers {
+    registry: Arc<Registry>,
+    /// Histograms in [`EXTRACT_KINDS`] order.
+    kinds: [Arc<Histogram>; 7],
+}
+
+/// The short names `<kind>` of [`ExtractTimers`], in extraction order.
+const EXTRACT_KINDS: [&str; 7] = ["sch", "glcm", "gabor", "tamura", "acc", "naive", "srg"];
+
+impl ExtractTimers {
+    /// Resolve the seven histograms once; extraction then only touches
+    /// atomics.
+    pub fn new(registry: Arc<Registry>, prefix: &str) -> ExtractTimers {
+        let kinds =
+            EXTRACT_KINDS.map(|kind| registry.histogram(&format!("{prefix}.{kind}_nanos")));
+        ExtractTimers { registry, kinds }
+    }
+
+    /// All seven features of one frame, each extractor under its timer.
+    /// The values are exactly `FeatureSet::extract`'s (the same seven
+    /// extractors, in the same order).
+    pub fn extract(&self, frame: &RgbImage) -> FeatureSet {
+        let [sch, glcm, gabor, tamura, acc, naive, srg] = &self.kinds;
+        let timed = |h| self.registry.timer(h);
+        FeatureSet {
+            histogram: {
+                let _t = timed(sch);
+                ColorHistogram::extract(frame)
+            },
+            glcm: {
+                let _t = timed(glcm);
+                GlcmTexture::extract(frame)
+            },
+            gabor: {
+                let _t = timed(gabor);
+                GaborTexture::extract(frame)
+            },
+            tamura: {
+                let _t = timed(tamura);
+                TamuraTexture::extract(frame)
+            },
+            correlogram: {
+                let _t = timed(acc);
+                AutoColorCorrelogram::extract(frame)
+            },
+            naive: {
+                let _t = timed(naive);
+                NaiveSignature::extract(frame)
+            },
+            regions: {
+                let _t = timed(srg);
+                RegionGrowing::extract(frame)
+            },
+        }
+    }
+
+    /// [`ExtractTimers::extract`] for each frame on the shared
+    /// [`crate::pool::ExecPool`] (order is preserved).
+    ///
+    /// Chunk size 1: per-frame cost varies wildly (region growing and
+    /// Gabor depend on content), so fine-grained stealing keeps workers
+    /// busy where a fixed `div_ceil` split left them idle behind one slow
+    /// chunk.
+    pub fn extract_all(&self, frames: &[&RgbImage], threads: usize) -> Vec<FeatureSet> {
+        crate::pool::ExecPool::global().map(frames, 1, threads, |_, frame| self.extract(frame))
+    }
+}
+
 /// Extract all seven features for each frame on the shared
-/// [`crate::pool::ExecPool`] (order is preserved).
-///
-/// Chunk size 1: per-frame cost varies wildly (region growing and Gabor
-/// depend on content), so fine-grained stealing keeps workers busy where
-/// the old fixed `div_ceil` split left them idle behind one slow chunk.
+/// [`crate::pool::ExecPool`] (order is preserved), timed under
+/// `ingest.extract.<kind>_nanos` in the global registry.
 pub fn extract_feature_sets_parallel(frames: &[&RgbImage], threads: usize) -> Vec<FeatureSet> {
-    // Per-kind extraction timings map onto the paper's Table 1 rows.
-    // Handles are resolved once here; the parallel bodies only touch
-    // atomics. Building the set field-by-field with a timer around each
-    // extractor produces the exact same values as `FeatureSet::extract`
-    // (which calls the same seven extractors in the same order).
-    let registry = Registry::global();
-    let sch = registry.histogram("ingest.extract.sch_nanos");
-    let glcm = registry.histogram("ingest.extract.glcm_nanos");
-    let gabor = registry.histogram("ingest.extract.gabor_nanos");
-    let tamura = registry.histogram("ingest.extract.tamura_nanos");
-    let acc = registry.histogram("ingest.extract.acc_nanos");
-    let naive = registry.histogram("ingest.extract.naive_nanos");
-    let srg = registry.histogram("ingest.extract.srg_nanos");
-    crate::pool::ExecPool::global().map(frames, 1, threads, |_, frame| FeatureSet {
-        histogram: {
-            let _t = registry.timer(&sch);
-            ColorHistogram::extract(frame)
-        },
-        glcm: {
-            let _t = registry.timer(&glcm);
-            GlcmTexture::extract(frame)
-        },
-        gabor: {
-            let _t = registry.timer(&gabor);
-            GaborTexture::extract(frame)
-        },
-        tamura: {
-            let _t = registry.timer(&tamura);
-            TamuraTexture::extract(frame)
-        },
-        correlogram: {
-            let _t = registry.timer(&acc);
-            AutoColorCorrelogram::extract(frame)
-        },
-        naive: {
-            let _t = registry.timer(&naive);
-            NaiveSignature::extract(frame)
-        },
-        regions: {
-            let _t = registry.timer(&srg);
-            RegionGrowing::extract(frame)
-        },
-    })
+    ExtractTimers::new(Registry::global().clone(), "ingest.extract").extract_all(frames, threads)
 }
 
 /// Ingest one video under `name`. The whole operation is one atomic

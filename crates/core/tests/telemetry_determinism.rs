@@ -8,7 +8,7 @@
 
 use cbvr_core::engine::CatalogEntry;
 use cbvr_core::{
-    ExecPool, QueryEngine, QueryOptions, Registry, TestClock, THREADS_AUTO,
+    ExecPool, KeyframeConfig, QueryEngine, QueryOptions, Registry, TestClock, THREADS_AUTO,
 };
 use cbvr_features::FeatureSet;
 use cbvr_imgproc::{Histogram256, Rgb, RgbImage};
@@ -311,4 +311,37 @@ fn render_snapshot_is_stable_for_a_fixed_workload() {
          c_hist.p99 7\n\
          c_hist.sum 5\n"
     );
+}
+
+#[test]
+fn query_extraction_is_timed_per_kind_under_the_query_prefixes() {
+    let (engine, registry, _, _) = test_engine(23, 6);
+    let kinds = ["sch", "glcm", "gabor", "tamura", "acc", "naive", "srg"];
+    let samples = |r: &Registry, prefix: &str, kind: &str| {
+        r.histogram(&format!("{prefix}.{kind}_nanos")).count()
+    };
+    let global = Registry::global();
+    let ingest_before: Vec<u64> =
+        kinds.iter().map(|k| samples(global, "ingest.extract", k)).collect();
+
+    // One frame query: one sample per kind, under query.frame.extract.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+    engine.query_frame(&random_frame(&mut rng), &options(3, 1));
+    for kind in kinds {
+        assert_eq!(samples(&registry, "query.frame.extract", kind), 1, "{kind}");
+        assert_eq!(samples(&registry, "query.clip.extract", kind), 0, "{kind}");
+    }
+
+    // A clip query times each of its key frames under query.clip.extract,
+    // and nothing under ingest.extract, in either registry.
+    let clip = cbvr_video::Video::new(1, (0..3).map(|_| random_frame(&mut rng)).collect()).unwrap();
+    let keyframes = cbvr_keyframe::extract_keyframes(&clip, &KeyframeConfig::default()).len();
+    assert!(keyframes > 0);
+    engine.query_video(&clip, &KeyframeConfig::default(), &options(3, 1));
+    for (kind, before) in kinds.iter().zip(&ingest_before) {
+        assert_eq!(samples(&registry, "query.clip.extract", kind), keyframes as u64, "{kind}");
+        assert_eq!(samples(&registry, "query.frame.extract", kind), 1, "{kind}");
+        assert_eq!(samples(&registry, "ingest.extract", kind), 0, "{kind}");
+        assert_eq!(samples(global, "ingest.extract", kind), *before, "{kind}");
+    }
 }

@@ -67,41 +67,30 @@ impl AutoColorCorrelogram {
             let (hh, ss, vv) = rgb_to_hsv(p);
             quant[(y * w + x) as usize] = quantize_hsv(hh, ss, vv);
         }
-        let at = |x: i64, y: i64| quant[(y * wi + x) as usize];
-
         let mut same_counts = vec![0u64; DIM];
         let mut valid_counts = vec![0u64; DIM];
-        for y in 0..hi {
-            for x in 0..wi {
-                let color = at(x, y) as usize;
-                for d in 1..=MAX_DISTANCE as i64 {
-                    let mut same = 0u64;
-                    let mut valid = 0u64;
-                    let mut visit = |nx: i64, ny: i64| {
-                        if nx >= 0 && ny >= 0 && nx < wi && ny < hi {
-                            valid += 1;
-                            if at(nx, ny) as usize == color {
-                                same += 1;
-                            }
-                        }
-                    };
-                    // Chessboard ring at distance exactly d: top and bottom
-                    // rows plus left and right columns.
-                    for dx in -d..=d {
-                        visit(x + dx, y - d);
-                        visit(x + dx, y + d);
-                    }
-                    for dy in (-d + 1)..d {
-                        visit(x - d, y + dy);
-                        visit(x + d, y + dy);
-                    }
-                    let slot = color * MAX_DISTANCE + (d as usize - 1);
-                    same_counts[slot] += same;
-                    valid_counts[slot] += valid;
+        let (w, h) = (w as usize, h as usize);
+        // Pixels at least MAX_DISTANCE from every edge have every ring
+        // inside the raster; on each row they are the run
+        // [MAX_DISTANCE, MAX_DISTANCE + span). They are counted a row at a
+        // time, the rest one by one with bounds tests. Counts are
+        // integers, so the split changes no value.
+        let md = MAX_DISTANCE;
+        let span = w.saturating_sub(2 * md);
+        let mut rings = vec![0u8; MAX_DISTANCE * span];
+        for y in 0..h {
+            let inner_row = span > 0 && y >= md && y + md < h;
+            if inner_row {
+                interior_row(&quant, w, y, &mut rings, &mut same_counts, &mut valid_counts);
+            }
+            for x in 0..w {
+                if inner_row && (md..md + span).contains(&x) {
+                    continue;
                 }
+                let p = (x as i64, y as i64);
+                border_pixel(&quant, (wi, hi), p, &mut same_counts, &mut valid_counts);
             }
         }
-
         // Conditional probability per (color, distance).
         let mut values = vec![0.0f64; DIM];
         for i in 0..DIM {
@@ -161,6 +150,85 @@ impl AutoColorCorrelogram {
             return Err(FeatureError::Parse(format!("expected {DIM} values, got {}", values.len())));
         }
         Ok(AutoColorCorrelogram { values })
+    }
+}
+
+/// Count the chessboard rings of pixel `(x, y)` with a bounds test on
+/// every neighbour (any pixel, but used near the edges).
+fn border_pixel(
+    quant: &[u8],
+    (wi, hi): (i64, i64),
+    (x, y): (i64, i64),
+    same_counts: &mut [u64],
+    valid_counts: &mut [u64],
+) {
+    let at = |x: i64, y: i64| quant[(y * wi + x) as usize];
+    let color = at(x, y) as usize;
+    for d in 1..=MAX_DISTANCE as i64 {
+        let mut same = 0u64;
+        let mut valid = 0u64;
+        let mut visit = |nx: i64, ny: i64| {
+            if nx >= 0 && ny >= 0 && nx < wi && ny < hi {
+                valid += 1;
+                if at(nx, ny) as usize == color {
+                    same += 1;
+                }
+            }
+        };
+        // Chessboard ring at distance exactly d: top and bottom rows plus
+        // left and right columns.
+        for dx in -d..=d {
+            visit(x + dx, y - d);
+            visit(x + dx, y + d);
+        }
+        for dy in (-d + 1)..d {
+            visit(x - d, y + dy);
+            visit(x + d, y + dy);
+        }
+        let slot = color * MAX_DISTANCE + (d as usize - 1);
+        same_counts[slot] += same;
+        valid_counts[slot] += valid;
+    }
+}
+
+/// Count the rings of the interior run of row `y` (see
+/// [`AutoColorCorrelogram::extract`]). For each neighbour offset, the run
+/// is compared with the run shifted by that offset, and each match adds
+/// one to that pixel's count for the offset's ring; these byte-wide
+/// compares vectorise. `rings` is scratch of `MAX_DISTANCE × span` counts
+/// (a ring holds at most `8 · MAX_DISTANCE` = 32 cells, so a byte holds
+/// its count). Every interior ring has all `8d` neighbours valid.
+fn interior_row(
+    quant: &[u8],
+    w: usize,
+    y: usize,
+    rings: &mut [u8],
+    same_counts: &mut [u64],
+    valid_counts: &mut [u64],
+) {
+    let md = MAX_DISTANCE;
+    let span = rings.len() / MAX_DISTANCE;
+    let center = &quant[y * w + md..][..span];
+    rings.fill(0);
+    for ny in y - md..=y + md {
+        for nx0 in 0..=2 * md {
+            if ny == y && nx0 == md {
+                continue;
+            }
+            let d = (ny.abs_diff(y)).max(nx0.abs_diff(md));
+            let other = &quant[ny * w + nx0..][..span];
+            let ring = &mut rings[(d - 1) * span..][..span];
+            for ((r, &c), &o) in ring.iter_mut().zip(center).zip(other) {
+                *r += (c == o) as u8;
+            }
+        }
+    }
+    for (i, &color) in center.iter().enumerate() {
+        let base = color as usize * MAX_DISTANCE;
+        for d in 0..MAX_DISTANCE {
+            same_counts[base + d] += rings[d * span + i] as u64;
+            valid_counts[base + d] += 8 * (d as u64 + 1);
+        }
     }
 }
 
@@ -256,6 +324,40 @@ mod tests {
         assert!(AutoColorCorrelogram::parse("CCA 4 0.5").is_err());
         assert!(AutoColorCorrelogram::parse("ACC 3 0.5").is_err());
         assert!(AutoColorCorrelogram::parse("ACC 4 0.5 0.5").is_err()); // too few
+    }
+
+    /// The row-at-a-time interior count equals bounds-testing every
+    /// neighbour of every pixel, including rasters whose interior run is
+    /// empty or one pixel wide.
+    #[test]
+    fn interior_rows_match_bounds_tested_counts() {
+        for (w, h) in [(8u32, 8u32), (9, 9), (9, 20), (20, 9), (33, 17)] {
+            let img = RgbImage::from_fn(w, h, |x, y| {
+                let v = ((x * 7 + y * 13) ^ (x * y)) as u8;
+                Rgb::new(v & 0xc0, (v << 2) & 0xc0, 255 - (v & 0x80))
+            })
+            .unwrap();
+            let quant: Vec<u8> = img
+                .enumerate_pixels()
+                .map(|(_, _, p)| {
+                    let (hh, ss, vv) = rgb_to_hsv(p);
+                    quantize_hsv(hh, ss, vv)
+                })
+                .collect();
+            let mut same = vec![0u64; DIM];
+            let mut valid = vec![0u64; DIM];
+            for y in 0..h as i64 {
+                for x in 0..w as i64 {
+                    border_pixel(&quant, (w as i64, h as i64), (x, y), &mut same, &mut valid);
+                }
+            }
+            let expected: Vec<f64> = same
+                .iter()
+                .zip(&valid)
+                .map(|(&s, &v)| if v > 0 { s as f64 / v as f64 } else { 0.0 })
+                .collect();
+            assert_eq!(AutoColorCorrelogram::extract(&img).values(), &expected[..], "{w}x{h}");
+        }
     }
 
     #[test]

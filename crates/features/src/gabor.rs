@@ -25,6 +25,7 @@
 use crate::error::{FeatureError, Result};
 use cbvr_imgproc::geom::{self, Interpolation};
 use cbvr_imgproc::{GrayImage, RgbImage};
+use std::sync::OnceLock;
 
 /// Number of scales (M).
 pub const SCALES: usize = 5;
@@ -47,7 +48,7 @@ struct GaborKernel {
 impl GaborKernel {
     fn new(frequency: f64, theta: f64) -> GaborKernel {
         let sigma = 0.56 / frequency;
-        let radius = (2.0 * sigma).ceil().min(10.0) as i64;
+        let radius = (2.0 * sigma).ceil().min(PAD as f64) as i64;
         let side = (2 * radius + 1) as usize;
         let mut re = Vec::with_capacity(side * side);
         let mut im = Vec::with_capacity(side * side);
@@ -73,33 +74,96 @@ impl GaborKernel {
         GaborKernel { radius, re, im }
     }
 
-    /// Mean and std of the response magnitude over the image.
-    fn response_stats(&self, img: &GrayImage) -> (f64, f64) {
-        let (w, h) = img.dimensions();
-        let n = (w as usize) * (h as usize);
-        let side = (2 * self.radius + 1) as usize;
-        let mut magnitudes = Vec::with_capacity(n);
-        for y in 0..h as i64 {
-            for x in 0..w as i64 {
-                let mut acc_re = 0.0;
-                let mut acc_im = 0.0;
-                let mut k = 0usize;
-                for dy in -self.radius..=self.radius {
-                    for dx in -self.radius..=self.radius {
-                        let v = img.get_clamped(x + dx, y + dy).0 as f64;
-                        acc_re += self.re[k] * v;
-                        acc_im += self.im[k] * v;
-                        k += 1;
+    /// Mean and std of the response magnitude over the clamp-padded
+    /// raster (see [`Padded`]); `magnitudes` is reusable scratch.
+    ///
+    /// Each output pixel gets `Σ re[k]·v` and `Σ im[k]·v` over the taps `k`
+    /// in row-major `(dy, dx)` order, the same adds in the same order as a
+    /// per-pixel loop, so the result is bit-identical to it. The loops are
+    /// turned inside out for speed: a block of [`LANES`] neighbouring
+    /// pixels keeps its accumulators in registers while the taps stream
+    /// past, and the block's lanes vectorise (a lane is one pixel; no sum
+    /// is split across lanes).
+    fn response_stats(&self, img: &Padded, magnitudes: &mut Vec<f64>) -> (f64, f64) {
+        let (w, h) = (img.w, img.h);
+        let n = w * h;
+        let r = self.radius as usize;
+        let side = 2 * r + 1;
+        magnitudes.clear();
+        for y in 0..h {
+            for x0 in (0..w).step_by(LANES) {
+                let mut acc_re = [0.0f64; LANES];
+                let mut acc_im = [0.0f64; LANES];
+                let kernel_rows = self.re.chunks_exact(side).zip(self.im.chunks_exact(side));
+                for (ky, (kre, kim)) in kernel_rows.enumerate() {
+                    // Padded row of source row `y + ky - r`, from column `x0 - r`.
+                    let row = (y + ky + PAD - r) * img.stride + x0 + PAD - r;
+                    let src = &img.data[row..row + side - 1 + LANES];
+                    for (kx, (&cr, &ci)) in kre.iter().zip(kim).enumerate() {
+                        let v = &src[kx..kx + LANES];
+                        for j in 0..LANES {
+                            acc_re[j] += cr * v[j];
+                            acc_im[j] += ci * v[j];
+                        }
                     }
                 }
-                debug_assert_eq!(k, side * side);
-                magnitudes.push((acc_re * acc_re + acc_im * acc_im).sqrt());
+                let live = LANES.min(w - x0);
+                for j in 0..live {
+                    magnitudes.push((acc_re[j] * acc_re[j] + acc_im[j] * acc_im[j]).sqrt());
+                }
             }
         }
         let mean = magnitudes.iter().sum::<f64>() / n as f64;
         let var = magnitudes.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / n as f64;
         (mean, var.sqrt())
     }
+}
+
+/// Pixels per register block in [`GaborKernel::response_stats`].
+const LANES: usize = 8;
+/// Border of the padded raster: the largest kernel radius.
+const PAD: usize = 10;
+
+/// The gray raster as f64, padded by [`PAD`] on every side with the
+/// nearest edge pixel (exactly what a clamped read returns) and on the
+/// right by up to `LANES - 1` more columns, so a register block that runs
+/// past the last pixel still reads in bounds. Those extra lanes are never
+/// stored.
+struct Padded {
+    w: usize,
+    h: usize,
+    stride: usize,
+    data: Vec<f64>,
+}
+
+impl Padded {
+    fn new(img: &GrayImage) -> Padded {
+        let (w, h) = (img.width() as usize, img.height() as usize);
+        let stride = w.next_multiple_of(LANES) + 2 * PAD;
+        let mut data = Vec::with_capacity(stride * (h + 2 * PAD));
+        for py in 0..h + 2 * PAD {
+            let y = py as i64 - PAD as i64;
+            data.extend((0..stride).map(|px| img.get_clamped(px as i64 - PAD as i64, y).0 as f64));
+        }
+        Padded { w, h, stride, data }
+    }
+}
+
+/// The 30-kernel bank, scale-major then orientation, built once per
+/// process (≈ 99 KB of taps).
+fn bank() -> &'static [GaborKernel] {
+    static BANK: OnceLock<Vec<GaborKernel>> = OnceLock::new();
+    BANK.get_or_init(|| {
+        let mut bank = Vec::with_capacity(SCALES * ORIENTATIONS);
+        for m in 0..SCALES {
+            let frequency = F_MAX / 2f64.sqrt().powi(m as i32);
+            for n in 0..ORIENTATIONS {
+                let theta = n as f64 * std::f64::consts::PI / ORIENTATIONS as f64;
+                bank.push(GaborKernel::new(frequency, theta));
+            }
+        }
+        bank
+    })
 }
 
 /// The §4.4 Gabor texture descriptor: 60 values.
@@ -128,19 +192,16 @@ impl GaborTexture {
 
     /// Extract from an already-prepared gray image (no rescaling).
     pub fn extract_gray(gray: &GrayImage) -> GaborTexture {
+        let padded = Padded::new(gray);
+        let mut magnitudes = Vec::with_capacity(padded.w * padded.h);
         let mut features = Vec::with_capacity(DIM);
-        for m in 0..SCALES {
-            let frequency = F_MAX / 2f64.sqrt().powi(m as i32);
-            for n in 0..ORIENTATIONS {
-                let theta = n as f64 * std::f64::consts::PI / ORIENTATIONS as f64;
-                let kernel = GaborKernel::new(frequency, theta);
-                let (mean, std) = kernel.response_stats(gray);
-                // The pseudocode divides both stats by imageSize; the stats
-                // above are already per-pixel means, so they are directly
-                // size-comparable. Scale to keep magnitudes tame.
-                features.push(mean / 255.0);
-                features.push(std / 255.0);
-            }
+        for kernel in bank() {
+            let (mean, std) = kernel.response_stats(&padded, &mut magnitudes);
+            // The pseudocode divides both stats by imageSize; the stats
+            // above are already per-pixel means, so they are directly
+            // size-comparable. Scale to keep magnitudes tame.
+            features.push(mean / 255.0);
+            features.push(std / 255.0);
         }
         GaborTexture { features }
     }
@@ -308,6 +369,48 @@ mod tests {
         assert!(GaborTexture::parse("gabor 60 1 2 3").is_err());
         let bad = format!("gabor 60 {}", vec!["x"; 60].join(" "));
         assert!(GaborTexture::parse(&bad).is_err());
+    }
+
+    /// The register-blocked kernel equals a per-pixel loop over clamped
+    /// reads bit for bit, on rasters narrower than a block, narrower than
+    /// the largest kernel, and not a multiple of the block width.
+    #[test]
+    fn matches_the_per_pixel_clamped_loop() {
+        let reference = |img: &GrayImage| -> Vec<f64> {
+            let (w, h) = img.dimensions();
+            let n = (w * h) as f64;
+            let mut out = Vec::new();
+            for kernel in bank() {
+                let r = kernel.radius;
+                let mut magnitudes = Vec::new();
+                for y in 0..h as i64 {
+                    for x in 0..w as i64 {
+                        let (mut re, mut im) = (0.0, 0.0);
+                        let mut k = 0;
+                        for dy in -r..=r {
+                            for dx in -r..=r {
+                                let v = img.get_clamped(x + dx, y + dy).0 as f64;
+                                re += kernel.re[k] * v;
+                                im += kernel.im[k] * v;
+                                k += 1;
+                            }
+                        }
+                        magnitudes.push((re * re + im * im).sqrt());
+                    }
+                }
+                let mean = magnitudes.iter().sum::<f64>() / n;
+                let var = magnitudes.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / n;
+                out.push(mean / 255.0);
+                out.push(var.sqrt() / 255.0);
+            }
+            out
+        };
+        for (w, h) in [(1, 1), (3, 7), (13, 9), (24, 5)] {
+            let gray = GrayImage::from_fn(w, h, |x, y| Gray(((x * 37) ^ (y * 91)) as u8)).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let fast = GaborTexture::extract_gray(&gray);
+            assert_eq!(bits(fast.features()), bits(&reference(&gray)), "{w}x{h}");
+        }
     }
 
     #[test]

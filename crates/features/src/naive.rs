@@ -11,7 +11,6 @@
 //! [`NaiveSignature::parse`] reads that format back.
 
 use crate::error::{FeatureError, Result};
-use cbvr_imgproc::geom::{self, Interpolation};
 use cbvr_imgproc::{Rgb, RgbImage};
 
 /// Canvas side the frame is rescaled to before sampling.
@@ -37,13 +36,20 @@ impl NaiveSignature {
     /// Extract: rescale to 300×300 with nearest-neighbour interpolation
     /// (the pseudocode's `InterpolationNearest`) and average around each
     /// grid point.
+    ///
+    /// The canvas is never built: a nearest-neighbour canvas pixel is just
+    /// a source pixel, so each window sums source pixels through per-axis
+    /// index maps ([`canvas_to_source`]). The sums are integers, so the
+    /// result equals averaging the materialised canvas exactly.
     pub fn extract(img: &RgbImage) -> NaiveSignature {
-        let scaled = geom::resize_rgb(img, BASE_SIZE, BASE_SIZE, Interpolation::Nearest)
-            .expect("fixed nonzero target");
+        let (w, h) = img.dimensions();
+        let cols = canvas_to_source(w);
+        let rows = canvas_to_source(h);
         let mut signature = Vec::with_capacity(GRID * GRID);
         for gy in 0..GRID {
             for gx in 0..GRID {
-                signature.push(average_around(&scaled, grid_position(gx), grid_position(gy)));
+                let (px, py) = (grid_position(gx), grid_position(gy));
+                signature.push(average_around(img, &cols, &rows, px, py));
             }
         }
         NaiveSignature { signature }
@@ -108,19 +114,33 @@ impl NaiveSignature {
     }
 }
 
+/// For each of the [`BASE_SIZE`] canvas positions along an axis of
+/// source length `len`, the source index a nearest-neighbour resize reads
+/// (`geom::resize_rgb`'s formula, which maps a 300-long axis to itself,
+/// matching the resize's unchanged copy of a 300×300 image).
+fn canvas_to_source(len: u32) -> Vec<u32> {
+    let scale = len as f64 / BASE_SIZE as f64;
+    (0..BASE_SIZE).map(|i| (((i as f64 + 0.5) * scale) as u32).min(len - 1)).collect()
+}
+
 /// Average colors in the `±SAMPLE_SIZE` window around the normalised
-/// position `(px, py)` on the scaled canvas, clamping at borders.
-fn average_around(img: &RgbImage, px: f64, py: f64) -> Rgb {
+/// position `(px, py)` of the 300×300 canvas, clamping at its borders;
+/// `cols`/`rows` map canvas coordinates to source pixels.
+fn average_around(img: &RgbImage, cols: &[u32], rows: &[u32], px: f64, py: f64) -> Rgb {
+    let clamp = |c: i64| c.clamp(0, BASE_SIZE as i64 - 1) as usize;
     let cx = (px * BASE_SIZE as f64) as i64;
     let cy = (py * BASE_SIZE as f64) as i64;
+    let stride = img.width() as usize * 3;
+    let raw = img.as_raw();
     let mut acc = [0u64; 3];
     let mut n = 0u64;
     for y in (cy - SAMPLE_SIZE)..(cy + SAMPLE_SIZE) {
+        let row = &raw[rows[clamp(y)] as usize * stride..];
         for x in (cx - SAMPLE_SIZE)..(cx + SAMPLE_SIZE) {
-            let p = img.get_clamped(x, y);
-            acc[0] += p.r as u64;
-            acc[1] += p.g as u64;
-            acc[2] += p.b as u64;
+            let p = &row[cols[clamp(x)] as usize * 3..][..3];
+            acc[0] += p[0] as u64;
+            acc[1] += p[1] as u64;
+            acc[2] += p[2] as u64;
             n += 1;
         }
     }
@@ -229,6 +249,43 @@ mod tests {
         // Missing channel.
         let missing = format!("NaiveVector {}", vec!["java.awt.Color[r=0,g=0]"; 25].join(" "));
         assert!(NaiveSignature::parse(&missing).is_err());
+    }
+
+    /// The canvas-free extraction equals averaging a materialised
+    /// nearest-neighbour 300×300 canvas, at sizes below, at and above it.
+    #[test]
+    fn matches_the_materialised_canvas() {
+        use cbvr_imgproc::geom::{resize_rgb, Interpolation};
+        let reference = |img: &RgbImage| -> Vec<Rgb> {
+            let canvas = resize_rgb(img, BASE_SIZE, BASE_SIZE, Interpolation::Nearest).unwrap();
+            let mut out = Vec::new();
+            for gy in 0..GRID {
+                for gx in 0..GRID {
+                    let cx = (grid_position(gx) * BASE_SIZE as f64) as i64;
+                    let cy = (grid_position(gy) * BASE_SIZE as f64) as i64;
+                    let mut acc = [0u64; 3];
+                    for y in (cy - SAMPLE_SIZE)..(cy + SAMPLE_SIZE) {
+                        for x in (cx - SAMPLE_SIZE)..(cx + SAMPLE_SIZE) {
+                            let p = canvas.get_clamped(x, y);
+                            acc[0] += p.r as u64;
+                            acc[1] += p.g as u64;
+                            acc[2] += p.b as u64;
+                        }
+                    }
+                    let n = (4 * SAMPLE_SIZE * SAMPLE_SIZE) as u64;
+                    out.push(Rgb::new((acc[0] / n) as u8, (acc[1] / n) as u8, (acc[2] / n) as u8));
+                }
+            }
+            out
+        };
+        let sizes = [(1, 1), (3, 2), (7, 300), (160, 120), (299, 301), (300, 300), (300, 17), (601, 450)];
+        for (w, h) in sizes {
+            let img = RgbImage::from_fn(w, h, |x, y| {
+                Rgb::new((x * 7 + y * 3) as u8, (x ^ y) as u8, (x * y + 11) as u8)
+            })
+            .unwrap();
+            assert_eq!(NaiveSignature::extract(&img).colors(), &reference(&img)[..], "{w}x{h}");
+        }
     }
 
     #[test]

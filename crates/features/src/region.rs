@@ -23,6 +23,10 @@ use cbvr_imgproc::morph::paper_morphology_chain;
 use cbvr_imgproc::threshold::binarize_fuzzy;
 use cbvr_imgproc::{GrayImage, RgbImage};
 
+/// The 8-connected neighbourhood as `(dx, dy)`, in scan order.
+const NEIGHBOURS: [(i64, i64); 8] =
+    [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)];
+
 /// Tunables for the region grower.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegionConfig {
@@ -71,8 +75,10 @@ impl RegionGrowing {
         let total = binary.pixel_count();
         let major_cutoff = ((total as f64) * config.major_fraction).ceil() as usize;
 
+        let px = binary.as_raw();
         let mut labels = vec![0u32; total];
         let idx = |x: i64, y: i64| (y * wi + x) as usize;
+        let offsets = NEIGHBOURS.map(|(dx, dy)| dy * wi + dx);
         let mut regions = 0u32;
         let mut holes = 0u32;
         let mut major = 0u32;
@@ -84,7 +90,7 @@ impl RegionGrowing {
                     continue;
                 }
                 regions += 1;
-                let value = binary.get(x as u32, y as u32).0;
+                let value = px[idx(x, y)];
                 if value == 0 {
                     holes += 1;
                 }
@@ -93,20 +99,20 @@ impl RegionGrowing {
                 stack.push((x, y));
                 while let Some((cx, cy)) = stack.pop() {
                     size += 1;
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            if dx == 0 && dy == 0 {
-                                continue;
-                            }
-                            let (nx, ny) = (cx + dx, cy + dy);
-                            if nx < 0 || ny < 0 || nx >= wi || ny >= hi {
-                                continue;
-                            }
-                            let i = idx(nx, ny);
-                            if labels[i] == 0 && binary.get(nx as u32, ny as u32).0 == value {
-                                labels[i] = regions;
-                                stack.push((nx, ny));
-                            }
+                    let c = idx(cx, cy) as i64;
+                    // Away from the border every neighbour is in the
+                    // raster: skip the bounds test (labels are integers,
+                    // so both paths label identically).
+                    let interior = cx > 0 && cy > 0 && cx + 1 < wi && cy + 1 < hi;
+                    for (&(dx, dy), &o) in NEIGHBOURS.iter().zip(&offsets) {
+                        let (nx, ny) = (cx + dx, cy + dy);
+                        if !interior && (nx < 0 || ny < 0 || nx >= wi || ny >= hi) {
+                            continue;
+                        }
+                        let i = (c + o) as usize;
+                        if labels[i] == 0 && px[i] == value {
+                            labels[i] = regions;
+                            stack.push((nx, ny));
                         }
                     }
                 }

@@ -49,10 +49,11 @@ struct Integral {
 impl Integral {
     fn new(img: &GrayImage) -> Integral {
         let (w, h) = (img.width() as usize, img.height() as usize);
+        let px = img.as_raw();
         let mut data = vec![0u64; (w + 1) * (h + 1)];
         for y in 0..h {
             for x in 0..w {
-                let v = img.get(x as u32, y as u32).0 as u64;
+                let v = px[y * w + x] as u64;
                 data[(y + 1) * (w + 1) + (x + 1)] =
                     v + data[y * (w + 1) + (x + 1)] + data[(y + 1) * (w + 1) + x] - data[y * (w + 1) + x];
             }
@@ -140,6 +141,11 @@ impl TamuraTexture {
 }
 
 /// Per-pixel best window size, averaged (Tamura F_crs).
+///
+/// Each pixel reads four window means per window size; most of them are
+/// shared with neighbouring pixels. [`MeanRows`] computes every distinct
+/// `mean_at(x, y, half)` once, with the same expression, and the pixels
+/// then compare the same values in the same order as a direct evaluation.
 fn coarseness(gray: &GrayImage) -> f64 {
     let (w, h) = (gray.width() as usize, gray.height() as usize);
     if w < 4 || h < 4 {
@@ -159,29 +165,76 @@ fn coarseness(gray: &GrayImage) -> f64 {
             integral.sum(x0, y0, x1, y1) as f64 / area
         }
     };
-
+    // Window side 2^k = 2·half for k = 1..=MAX_K.
+    let mut tables: Vec<MeanRows> =
+        (1..=MAX_K).map(|k| MeanRows::new(1 << (k - 1), w)).collect();
+    for t in &mut tables {
+        for y in -t.half..t.half {
+            t.fill(y, mean_at);
+        }
+    }
     let mut sum_best = 0.0f64;
     let n = (w * h) as f64;
     for y in 0..h as i64 {
-        for x in 0..w as i64 {
+        for t in &mut tables {
+            t.fill(y + t.half, mean_at);
+        }
+        // Per window size: the means on row y (horizontal neighbours) and
+        // on rows y ∓ half (vertical neighbours).
+        let rows: Vec<(&[f64], &[f64], &[f64])> =
+            tables.iter().map(|t| (t.row(y), t.row(y - t.half), t.row(y + t.half))).collect();
+        for x in 0..w {
             let mut best_e = -1.0f64;
             let mut best_size = 2.0f64;
-            for k in 1..=MAX_K {
-                let half = 1i64 << (k - 1); // window side 2^k
+            for (t, &(mid, up, down)) in tables.iter().zip(&rows) {
+                let half = t.half as usize;
                 // Horizontal and vertical mean differences between
-                // neighbouring non-overlapping windows.
-                let eh = (mean_at(x + half, y, half) - mean_at(x - half, y, half)).abs();
-                let ev = (mean_at(x, y + half, half) - mean_at(x, y - half, half)).abs();
+                // neighbouring non-overlapping windows: row entry `i` holds
+                // the mean centred at x = i - half.
+                let eh = (mid[x + 2 * half] - mid[x]).abs();
+                let ev = (down[x + half] - up[x + half]).abs();
                 let e = eh.max(ev);
                 if e > best_e {
                     best_e = e;
-                    best_size = (1u64 << k) as f64;
+                    best_size = (2 * half) as f64;
                 }
             }
             sum_best += best_size;
         }
     }
     sum_best / n
+}
+
+/// Window means `mean_at(x, y, half)` for one window size, a row `y` at a
+/// time over `x ∈ [-half, w + half)`. It keeps the `2·half + 1` latest
+/// rows, which is every row a pixel row reads.
+struct MeanRows {
+    half: i64,
+    width: usize,
+    data: Vec<f64>,
+}
+
+impl MeanRows {
+    fn new(half: i64, w: usize) -> MeanRows {
+        let width = w + 2 * half as usize;
+        MeanRows { half, width, data: vec![0.0; width * (2 * half as usize + 1)] }
+    }
+
+    fn slot(&self, y: i64) -> usize {
+        (y + self.half) as usize % (2 * self.half as usize + 1) * self.width
+    }
+
+    fn fill(&mut self, y: i64, mean_at: impl Fn(i64, i64, i64) -> f64) {
+        let (half, slot) = (self.half, self.slot(y));
+        for (i, m) in self.data[slot..slot + self.width].iter_mut().enumerate() {
+            *m = mean_at(i as i64 - half, y, half);
+        }
+    }
+
+    fn row(&self, y: i64) -> &[f64] {
+        let slot = self.slot(y);
+        &self.data[slot..slot + self.width]
+    }
 }
 
 /// Tamura F_con: `σ / κ^{1/4}`.
@@ -212,7 +265,8 @@ fn directionality(gray: &GrayImage) -> Vec<f64> {
     if w < 3 || h < 3 {
         return hist;
     }
-    let at = |x: u32, y: u32| gray.get(x, y).0 as f64;
+    let px = gray.as_raw();
+    let at = |x: u32, y: u32| px[(y * w + x) as usize] as f64;
     for y in 1..h - 1 {
         for x in 1..w - 1 {
             // Prewitt operators.
@@ -261,6 +315,45 @@ mod tests {
             tc.coarseness,
             tf.coarseness
         );
+    }
+
+    /// The row-ring coarseness equals evaluating all four window means of
+    /// every window size at every pixel.
+    #[test]
+    fn coarseness_matches_direct_evaluation() {
+        let direct = |gray: &GrayImage| -> f64 {
+            let (w, h) = (gray.width() as i64, gray.height() as i64);
+            let integral = Integral::new(gray);
+            let mean_at = |x: i64, y: i64, half: i64| -> f64 {
+                let x0 = (x - half).clamp(0, w) as usize;
+                let y0 = (y - half).clamp(0, h) as usize;
+                let x1 = (x + half).clamp(0, w) as usize;
+                let y1 = (y + half).clamp(0, h) as usize;
+                let area = ((x1 - x0) * (y1 - y0)) as f64;
+                if area == 0.0 { 0.0 } else { integral.sum(x0, y0, x1, y1) as f64 / area }
+            };
+            let mut sum_best = 0.0f64;
+            for y in 0..h {
+                for x in 0..w {
+                    let (mut best_e, mut best_size) = (-1.0f64, 2.0f64);
+                    for k in 1..=MAX_K {
+                        let half = 1i64 << (k - 1);
+                        let eh = (mean_at(x + half, y, half) - mean_at(x - half, y, half)).abs();
+                        let ev = (mean_at(x, y + half, half) - mean_at(x, y - half, half)).abs();
+                        if eh.max(ev) > best_e {
+                            best_e = eh.max(ev);
+                            best_size = (1u64 << k) as f64;
+                        }
+                    }
+                    sum_best += best_size;
+                }
+            }
+            sum_best / (w * h) as f64
+        };
+        for (w, h) in [(4, 4), (5, 70), (33, 17), (64, 48)] {
+            let img = gray(w, h, |x, y| ((x * 29) ^ (y * 53) ^ (x * y)) as u8);
+            assert_eq!(coarseness(&img).to_bits(), direct(&img).to_bits(), "{w}x{h}");
+        }
     }
 
     #[test]

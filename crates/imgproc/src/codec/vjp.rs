@@ -22,6 +22,7 @@
 use crate::error::{ImgError, Result};
 use crate::image::RgbImage;
 use crate::pixel::Rgb;
+use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"VJP1";
 const BLOCK: usize = 8;
@@ -119,27 +120,48 @@ fn dct8x8(block: &[f32; 64]) -> [f32; 64] {
     out
 }
 
+/// IDCT basis `BASIS[u][x] = cos((2x + 1)·u·π/16)`, each entry the f32
+/// expression the direct evaluation uses, computed once per process.
+fn basis() -> &'static [[f32; BLOCK]; BLOCK] {
+    static BASIS: OnceLock<[[f32; BLOCK]; BLOCK]> = OnceLock::new();
+    BASIS.get_or_init(|| {
+        std::array::from_fn(|u| {
+            std::array::from_fn(|x| {
+                ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0).cos()
+            })
+        })
+    })
+}
+
 /// Inverse 8×8 DCT-II.
+///
+/// Every output `(x, y)` is `0.25 · Σ_v Σ_u cu·cv·coeff·C[x][u]·C[y][v]`,
+/// with the products associated left to right and the terms added in
+/// `(v, u)` order, as in a direct evaluation (so the result is bit-identical
+/// to it). The cosines come from [`basis`]. Zero coefficients are skipped:
+/// their terms are ±0, and adding ±0 leaves a sum that started at +0 (so is
+/// never −0) unchanged. Each remaining coefficient adds its term to all 64
+/// outputs at once, which vectorises across `x`.
 fn idct8x8(coeffs: &[f32; 64]) -> [f32; 64] {
-    let mut out = [0f32; 64];
-    for y in 0..BLOCK {
-        for x in 0..BLOCK {
-            let mut sum = 0f32;
-            for v in 0..BLOCK {
-                for u in 0..BLOCK {
-                    let cu = if u == 0 { std::f32::consts::FRAC_1_SQRT_2 } else { 1.0 };
-                    let cv = if v == 0 { std::f32::consts::FRAC_1_SQRT_2 } else { 1.0 };
-                    sum += cu
-                        * cv
-                        * coeffs[v * BLOCK + u]
-                        * ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0).cos()
-                        * ((2 * y + 1) as f32 * v as f32 * std::f32::consts::PI / 16.0).cos();
+    let basis = basis();
+    let mut sum = [0f32; 64];
+    for v in 0..BLOCK {
+        for u in 0..BLOCK {
+            let coeff = coeffs[v * BLOCK + u];
+            if coeff == 0.0 {
+                continue;
+            }
+            let cu = if u == 0 { std::f32::consts::FRAC_1_SQRT_2 } else { 1.0 };
+            let cv = if v == 0 { std::f32::consts::FRAC_1_SQRT_2 } else { 1.0 };
+            let t = cu * cv * coeff;
+            for (row, &cyv) in sum.chunks_exact_mut(BLOCK).zip(&basis[v]) {
+                for (s, &cxu) in row.iter_mut().zip(&basis[u]) {
+                    *s += t * cxu * cyv;
                 }
             }
-            out[y * BLOCK + x] = 0.25 * sum;
         }
     }
-    out
+    sum.map(|s| 0.25 * s)
 }
 
 /// Zigzag signed→unsigned mapping for varints.
@@ -309,9 +331,13 @@ pub fn decode(data: &[u8]) -> Result<RgbImage> {
     let w = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
     let h = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
     let quality = data[12];
-    if w == 0 || h == 0 {
+    if w == 0 || h == 0 || w.checked_mul(h).is_none() {
         return Err(ImgError::Decode(format!("bad VJP dimensions {w}x{h}")));
     }
+    // Every block codes at least two bytes (a DC delta and an end-of-block
+    // marker), so a plane payload bounds the block count its header may
+    // claim. Checked before each plane is allocated.
+    let blocks = w.div_ceil(BLOCK) * h.div_ceil(BLOCK);
     let q_luma = scaled_table(&Q_LUMA, quality);
     let q_chroma = scaled_table(&Q_CHROMA, quality);
 
@@ -327,6 +353,11 @@ pub fn decode(data: &[u8]) -> Result<RgbImage> {
             .get(pos..pos + len)
             .ok_or_else(|| ImgError::Decode("VJP plane payload truncated".into()))?;
         pos += len;
+        if payload.len() / 2 < blocks {
+            return Err(ImgError::Decode(format!(
+                "VJP plane of {len} bytes cannot hold the {blocks} blocks of {w}x{h}"
+            )));
+        }
         let table = if i == 0 { &q_luma } else { &q_chroma };
         planes.push(decode_plane(payload, w, h, table)?);
     }
@@ -442,6 +473,77 @@ mod tests {
         for (a, b) in block.iter().zip(&back) {
             assert!((a - b).abs() < 0.01, "{a} vs {b}");
         }
+    }
+
+    /// The table IDCT equals the direct evaluation (cosines computed in
+    /// the loop, every term added) bit for bit, on sparse and dense blocks.
+    #[test]
+    fn table_idct_matches_direct_evaluation() {
+        let direct = |coeffs: &[f32; 64]| -> [f32; 64] {
+            let mut out = [0f32; 64];
+            for y in 0..BLOCK {
+                for x in 0..BLOCK {
+                    let mut sum = 0f32;
+                    for v in 0..BLOCK {
+                        for u in 0..BLOCK {
+                            let cu = if u == 0 { std::f32::consts::FRAC_1_SQRT_2 } else { 1.0 };
+                            let cv = if v == 0 { std::f32::consts::FRAC_1_SQRT_2 } else { 1.0 };
+                            sum += cu
+                                * cv
+                                * coeffs[v * BLOCK + u]
+                                * ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0)
+                                    .cos()
+                                * ((2 * y + 1) as f32 * v as f32 * std::f32::consts::PI / 16.0)
+                                    .cos();
+                        }
+                    }
+                    out[y * BLOCK + x] = 0.25 * sum;
+                }
+            }
+            out
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for block in 0..2000 {
+            // Sparsity from all-zero to dense, levels as dequantised ints.
+            let keep = block % 65;
+            let coeffs: [f32; 64] = std::array::from_fn(|i| {
+                let r = next();
+                if (r % 64) as usize >= keep && i != 0 {
+                    0.0
+                } else {
+                    ((r >> 8) % 4001) as f32 - 2000.0
+                }
+            });
+            let fast = idct8x8(&coeffs).map(f32::to_bits);
+            assert_eq!(fast, direct(&coeffs).map(f32::to_bits), "block {block}");
+        }
+    }
+
+    #[test]
+    fn oversized_header_is_rejected_before_allocating() {
+        // 25 bytes claiming 65535×65535: three empty plane payloads.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&65535u32.to_le_bytes());
+        bytes.extend_from_slice(&65535u32.to_le_bytes());
+        bytes.push(75);
+        for _ in 0..3 {
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+        }
+        assert_eq!(bytes.len(), 25);
+        assert!(matches!(decode(&bytes), Err(ImgError::Decode(_))));
+        // A real stream with one plane cut to fewer bytes than blocks.
+        let img = photo_like(64, 64);
+        let good = encode(&img, 75);
+        let mut short = good[..13].to_vec();
+        short.extend_from_slice(&100u32.to_le_bytes());
+        short.extend_from_slice(&[0u8; 100]);
+        assert!(matches!(decode(&short), Err(ImgError::Decode(_))));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::error::{ImgError, Result};
 use crate::image::GrayImage;
-use crate::pixel::Gray;
 
 /// A binary structuring element: a set of `(dx, dy)` offsets.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,26 +78,48 @@ fn is_fg(img: &GrayImage, x: i64, y: i64) -> bool {
     }
 }
 
+/// Apply the element at every pixel: foreground when *all* (`all`) or
+/// *any* (`!all`) of its hits are foreground.
+///
+/// Pixels whose whole element lies inside the raster read the buffer at
+/// precomputed linear offsets with no bounds test; the rest go through
+/// [`is_fg`]. The output is boolean, so both paths agree exactly.
+fn apply(img: &GrayImage, se: &StructuringElement, all: bool) -> GrayImage {
+    let (w, h) = (img.width() as usize, img.height() as usize);
+    let reach = se.hits().iter().map(|&(dx, dy)| dx.unsigned_abs().max(dy.unsigned_abs())).max();
+    let reach = reach.unwrap_or(0) as usize;
+    let offsets: Vec<isize> =
+        se.hits().iter().map(|&(dx, dy)| dy as isize * w as isize + dx as isize).collect();
+    let src = img.as_raw();
+    let mut out = vec![0u8; w * h];
+    for y in 0..h {
+        let inner_row = y >= reach && y + reach < h;
+        for x in 0..w {
+            let hit = if inner_row && x >= reach && x + reach < w {
+                let i = (y * w + x) as isize;
+                let fg = |o: &isize| src[(i + o) as usize] != 0;
+                if all { offsets.iter().all(fg) } else { offsets.iter().any(fg) }
+            } else {
+                let (x, y) = (x as i64, y as i64);
+                let fg = |&(dx, dy): &(i32, i32)| is_fg(img, x + dx as i64, y + dy as i64);
+                if all { se.hits().iter().all(fg) } else { se.hits().iter().any(fg) }
+            };
+            out[y * w + x] = if hit { 255 } else { 0 };
+        }
+    }
+    GrayImage::from_raw(w as u32, h as u32, out).expect("same nonzero dims")
+}
+
 /// Binary dilation: a pixel becomes foreground when *any* neighbour under
 /// the element is foreground.
 pub fn dilate(img: &GrayImage, se: &StructuringElement) -> GrayImage {
-    let (w, h) = img.dimensions();
-    GrayImage::from_fn(w, h, |x, y| {
-        let any = se.hits().iter().any(|&(dx, dy)| is_fg(img, x as i64 + dx as i64, y as i64 + dy as i64));
-        Gray(if any { 255 } else { 0 })
-    })
-    .expect("same nonzero dims")
+    apply(img, se, false)
 }
 
 /// Binary erosion: a pixel stays foreground only when *all* neighbours
 /// under the element are foreground.
 pub fn erode(img: &GrayImage, se: &StructuringElement) -> GrayImage {
-    let (w, h) = img.dimensions();
-    GrayImage::from_fn(w, h, |x, y| {
-        let all = se.hits().iter().all(|&(dx, dy)| is_fg(img, x as i64 + dx as i64, y as i64 + dy as i64));
-        Gray(if all { 255 } else { 0 })
-    })
-    .expect("same nonzero dims")
+    apply(img, se, true)
 }
 
 /// Closing: dilation followed by erosion (fills small holes).
@@ -121,6 +142,7 @@ pub fn paper_morphology_chain(img: &GrayImage) -> GrayImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pixel::Gray;
 
     fn binary(w: u32, h: u32, fg: &[(u32, u32)]) -> GrayImage {
         let mut img = GrayImage::new(w, h).unwrap();
@@ -213,5 +235,44 @@ mod tests {
         let out = erode(&img, &StructuringElement::box3());
         assert_eq!(out.get(0, 0), Gray(0));
         assert_eq!(out.get(2, 2), Gray(255));
+    }
+
+    /// The interior fast path agrees with a bounds-tested read of every
+    /// hit, for symmetric and lopsided elements and rasters narrower than
+    /// the element.
+    #[test]
+    fn interior_fast_path_matches_bounds_tested_reads() {
+        let reference = |img: &GrayImage, se: &StructuringElement, all: bool| {
+            let (w, h) = img.dimensions();
+            GrayImage::from_fn(w, h, |x, y| {
+                let (x, y) = (x as i64, y as i64);
+                let fg = |&(dx, dy): &(i32, i32)| is_fg(img, x + dx as i64, y + dy as i64);
+                let hit = if all { se.hits().iter().all(fg) } else { se.hits().iter().any(fg) };
+                Gray(if hit { 255 } else { 0 })
+            })
+            .unwrap()
+        };
+        #[rustfmt::skip]
+        let lopsided = StructuringElement::from_mask(5, &[
+            0, 0, 0, 0, 1,
+            0, 0, 0, 0, 0,
+            0, 0, 1, 1, 0,
+            0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0,
+        ]).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for (w, h) in [(1, 1), (2, 7), (3, 3), (4, 9), (17, 5), (40, 31)] {
+            let img = GrayImage::from_fn(w, h, |_, _| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                Gray(if state.is_multiple_of(3) { 0 } else { 200 })
+            })
+            .unwrap();
+            for se in [StructuringElement::paper_5x5(), lopsided.clone()] {
+                assert_eq!(dilate(&img, &se), reference(&img, &se, false), "dilate {w}x{h}");
+                assert_eq!(erode(&img, &se), reference(&img, &se, true), "erode {w}x{h}");
+            }
+        }
     }
 }

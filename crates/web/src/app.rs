@@ -534,6 +534,25 @@ mod tests {
     }
 
     #[test]
+    fn oversized_vjp_header_is_a_400_and_serving_continues() {
+        let app = state();
+        // 25 bytes whose header claims 65535×65535 with empty planes: it
+        // used to abort the process allocating the first plane.
+        let mut body = b"VJP1".to_vec();
+        body.extend_from_slice(&65535u32.to_le_bytes());
+        body.extend_from_slice(&65535u32.to_le_bytes());
+        body.push(75);
+        body.extend_from_slice(&[0u8; 12]);
+        assert_eq!(body.len(), 25);
+        let r = app.handle(&post("/query", body));
+        assert_eq!(r.status, StatusCode::BadRequest, "{}", body_str(&r));
+        // The same state keeps answering, queries included.
+        assert_eq!(app.handle(&get("/")).status, StatusCode::Ok);
+        let kf = app.handle(&get("/keyframe?id=1"));
+        assert_eq!(app.handle(&post("/query?k=1", kf.body)).status, StatusCode::Ok);
+    }
+
+    #[test]
     fn stats_and_unknown_routes() {
         let app = state();
         let r = app.handle(&get("/stats"));

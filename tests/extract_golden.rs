@@ -183,8 +183,8 @@ fn keyframe_indices_are_pinned() {
     for (c, clip) in clips() {
         for threshold in [800.0, 100.0] {
             let config = KeyframeConfig { threshold, ..KeyframeConfig::default() };
-            let kfs = extract_keyframes(&clip, &config);
-            actual.push((format!("{}@{threshold}", c.name()), kfs.iter().map(|k| k.index).collect()));
+            let indices = extract_keyframes(&clip, &config).iter().map(|k| k.index).collect();
+            actual.push((format!("{}@{threshold}", c.name()), indices));
         }
     }
     let golden: Vec<(String, Vec<usize>)> =
